@@ -44,6 +44,8 @@ type haloRank struct {
 	readyAt  time.Time
 	steps    int       // timed steps
 	stepUs   []float64 // timed step durations
+	stepAt   []int64   // when each timed step ended (monoNs)
+	wins     []window  // rank 0: the timed phase's windows
 	bad      int64     // ghost words that did not match
 	checksum uint64
 	t        [2]time.Time
@@ -132,13 +134,17 @@ func runHalo(p params, tr *tracer, replay any) (*outcome, error) {
 	steps := h0.steps
 	wall := h0.t[1].Sub(h0.t[0]).Seconds()
 	var stepUs []float64
+	var stepAt []int64
 	for _, h := range rs {
 		stepUs = append(stepUs, h.stepUs...)
+		stepAt = append(stepAt, h.stepAt...)
 		o.failed += h.bad
 		if h.checksum != h0.checksum {
 			o.failed++ // ranks disagree on the reduced values
 		}
 	}
+	// Windows first: quantile below sorts stepUs.
+	o.wins, o.winRate = windowStats(h0.wins, stepAt, stepUs, haloRanks), true
 	o.checksum = h0.checksum
 	o.attempted = int64((warm + steps) * haloRanks * 2) // face deliveries
 	o.replay = &haloReplay{steps: steps}
@@ -197,6 +203,7 @@ func haloBody(me *core.Rank, env *rankEnv, h *haloRank, seed uint64, lay haloLay
 	}
 	var contrib uint64
 	var deadline time.Time
+	var clock *windowClock
 	for s := 0; ; s++ {
 		par := s % 2
 		for d := range faces {
@@ -216,6 +223,7 @@ func haloBody(me *core.Rank, env *rankEnv, h *haloRank, seed uint64, lay haloLay
 			}
 			if r == 0 {
 				h.snaps[0] = takeSnap()
+				clock = startWindows()
 			}
 		}
 		if r == 0 && t >= 0 {
@@ -241,6 +249,7 @@ func haloBody(me *core.Rank, env *rankEnv, h *haloRank, seed uint64, lay haloLay
 		tk.end()
 		if t >= 0 {
 			h.stepUs = append(h.stepUs, float64(time.Since(start))/1e3)
+			h.stepAt = append(h.stepAt, monoNs())
 			h.steps++
 		}
 		h.checksum = splitmix64(h.checksum ^ res)
@@ -271,5 +280,6 @@ func haloBody(me *core.Rank, env *rankEnv, h *haloRank, seed uint64, lay haloLay
 	}
 	if r == 0 {
 		h.snaps[1] = takeSnap()
+		h.wins = clock.finish(monoNs())
 	}
 }

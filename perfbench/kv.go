@@ -486,9 +486,13 @@ func runKV(p params, tr *tracer, _ any) (*outcome, error) {
 	}
 	time.Sleep(time.Until(heavyAt))
 	s0 := takeSnap()
+	clock := startWindows()
 	svc0 := j.app.Counters()
 	st0 := j.st.Counters()
 	wg.Wait()
+	// Windows end with the heavy schedule; requests still out after it
+	// count in the window they were due in.
+	wins := clock.finish(int64(heavyAt.Add(heavy).Sub(epoch)))
 	s1 := takeSnap()
 	svc1 := j.app.Counters()
 	st1 := j.st.Counters()
@@ -516,6 +520,7 @@ func runKV(p params, tr *tracer, _ any) (*outcome, error) {
 	var failed, attempted int64
 	var lat [3][]float64 // by phase: all requests
 	var getLat, putLat, late []float64
+	var heavyDue []int64 // monoNs, parallel to lat[phHeavy]
 	var good int
 	var heavyEnd time.Duration // the last heavy-rate request's completion
 	for c, sched := range scheds {
@@ -524,6 +529,7 @@ func runKV(p params, tr *tracer, _ any) (*outcome, error) {
 			attempted++
 			if rq.phase == phHeavy {
 				heavyEnd = max(heavyEnd, res.done)
+				heavyDue = append(heavyDue, int64(t0.Add(rq.due).Sub(epoch)))
 			}
 			ok := res.status == http.StatusNoContent || res.status == http.StatusOK ||
 				(rq.get && res.status == http.StatusNotFound)
@@ -577,6 +583,7 @@ func runKV(p params, tr *tracer, _ any) (*outcome, error) {
 	o.attempted, o.failed = attempted, failed
 
 	heavyN := len(lat[phHeavy])
+	o.wins = windowStats(wins, heavyDue, lat[phHeavy], 1) // before quantile sorts lat
 	o.opsCount = float64(good)
 	// Goodput over the heavy phase as it ran: from its start until its
 	// last request completed, which outlasts the schedule when the

@@ -79,6 +79,12 @@ type outcome struct {
 	opsCount       float64
 	samples        map[string][]float64
 
+	// wins are the timed phase's windows (windows.go); when there are
+	// any, pool takes p50us — and opsPerS too if winRate — from the
+	// least-stolen ones.
+	wins    []winStat
+	winRate bool
+
 	attempted, failed int64
 	checksum          uint64
 
@@ -107,9 +113,12 @@ var workloads = map[string]workloadFn{
 }
 
 // endToEnd and perLayer name the printed metrics in BENCHMARK.json's
-// order, with units.
+// order, with units. p50_us is a per-layer metric: kv's heavy-rate p50
+// followed the shared host's speed, which drifted by a fifth or more
+// within minutes, so it could not repeat within the largest bound (see
+// README.md).
 var endToEnd = [][2]string{
-	{"setup_s", "s"}, {"peak_rss_mb", "MiB"}, {"ops_per_s", "1/s"}, {"p50_us", "us"},
+	{"setup_s", "s"}, {"peak_rss_mb", "MiB"}, {"ops_per_s", "1/s"},
 }
 
 // The gups-only figures — segment.xor64_ns, agg.maxops_avg,
@@ -138,7 +147,7 @@ var perLayer = [][2]string{
 	{"bench.trace_overhead_frac", "ratio"},
 	// Workload figures too unsteady, or too specific, for the shared
 	// end-to-end slots; measured by the untraced run of -trace 1.
-	{"fail_frac", "ratio"},
+	{"fail_frac", "ratio"}, {"p50_us", "us"},
 	{"step_p99_us", "us"}, {"halo_gb_per_s", "GB/s"},
 	{"heavy_p99_us", "us"}, {"get_p50_us", "us"}, {"get_p99_us", "us"},
 	{"put_p50_us", "us"}, {"put_p99_us", "us"}, {"light_p99_us", "us"},
@@ -221,6 +230,7 @@ func main() {
 		}
 	}
 	layer["bench.trace_overhead_frac"] = base.overheadFrac(base, traced)
+	layer["p50_us"] = base.p50us
 	for _, m := range base.named {
 		if _, ok := layer[m.name]; !ok {
 			layer[m.name] = m.value
@@ -304,14 +314,25 @@ func pool(reps []*outcome) *outcome {
 	for j := range o.named {
 		o.named[j].value /= n
 	}
-	// The end-to-end slots are medians over repetitions: the shared
-	// host stalls in bursts (a fifth of the CPU stolen for a minute at
-	// a time), and a median drops the repetitions a burst lands in.
+	// The end-to-end slots are medians over the least-stolen windows of
+	// all repetitions (windows.go) or, for figures without windows,
+	// over repetitions: the shared host stalls in bursts, and a median
+	// drops the repetitions a burst lands in.
 	rates, p50s := make([]float64, len(reps)), make([]float64, len(reps))
+	o.wins = nil
 	for i, r := range reps {
 		rates[i], p50s[i] = r.opsPerS, r.p50us
+		o.wins = append(o.wins, r.wins...)
 	}
 	o.opsPerS, o.p50us = median(rates), median(p50s)
+	if len(o.wins) > 0 {
+		p50, rate := windowFigures(o.wins)
+		o.p50us = p50
+		o.sizes["window_s"] = windowLen.Seconds()
+		if o.winRate {
+			o.opsPerS = rate
+		}
+	}
 	o.resolve()
 	o.sizes["repetitions"] = len(reps)
 	return &o
@@ -325,7 +346,7 @@ type metric struct {
 func endToEndMetrics(o *outcome) map[string]metric {
 	vals := map[string]float64{
 		"setup_s": median(o.setupS), "peak_rss_mb": peakRSSMiB(),
-		"ops_per_s": o.opsPerS, "p50_us": o.p50us,
+		"ops_per_s": o.opsPerS,
 	}
 	out := map[string]metric{}
 	for _, m := range endToEnd {
@@ -383,6 +404,9 @@ func report(workload string, o *outcome, tr *tracer) {
 	}
 	fmt.Printf("== %s (%s) ==\n", workload, mode)
 	fmt.Printf("setup_s trials %s (median %.4f)\n", fmtList(o.setupS), median(o.setupS))
+	if len(o.wins) > 0 {
+		fmt.Println(windowLine(o.wins))
+	}
 	for _, m := range o.named {
 		if strings.Contains(m.name, "p99") && m.n < 1000 {
 			fmt.Printf("%-28s %14.4f %-6s n=%d: fewer than 10 samples beyond it, not a p99\n", m.name, m.value, m.unit, m.n)

@@ -115,3 +115,45 @@ func TestHistQuantile(t *testing.T) {
 		t.Errorf("n %d mean %v", h.n, h.mean())
 	}
 }
+
+// Samples land in the window holding their timestamp, windows without
+// samples drop out, and the figures come from every window with no
+// stolen time but never fewer than a quarter of them.
+func TestLeastStolenWindows(t *testing.T) {
+	var ws []window
+	var at []int64
+	var vals []float64
+	stolen := []int64{0, 3, 0, 1, 0, 5, 2, 0}
+	for k, s := range stolen {
+		start := int64(k) * 1e9
+		ws = append(ws, window{start, start + 1e9, s})
+		for i := 0; i < 10; i++ { // latency 100·(k+1), rate 5/s at perOp 2
+			at = append(at, start+int64(i)*1e8)
+			vals = append(vals, float64(100*(k+1)))
+		}
+	}
+	ws = append(ws, window{8e9, 9e9, 0}) // no samples
+	st := windowStats(ws, at, vals, 2)
+	if len(st) != len(stolen) {
+		t.Fatalf("%d window stats, want %d", len(st), len(stolen))
+	}
+	for k, w := range st {
+		if w.p50 != float64(100*(k+1)) || w.rate != 5 || w.n != 10 || w.stolen != stolen[k] {
+			t.Errorf("window %d: %+v", k, w)
+		}
+	}
+	// Four windows had nothing stolen: windows 0, 2, 4 and 7.
+	if n := len(leastStolen(st)); n != 4 {
+		t.Errorf("%d least-stolen windows, want 4", n)
+	}
+	if p50, rate := windowFigures(st); p50 != 400 || rate != 5 {
+		t.Errorf("figures p50 %v rate %v, want 400 and 5", p50, rate)
+	}
+	// With every window stolen from, the least-stolen quarter remains.
+	for i := range st {
+		st[i].stolen++
+	}
+	if sel := leastStolen(st); len(sel) != 2 || sel[0].p50 != 100 || sel[1].p50 != 300 {
+		t.Errorf("least stolen %+v, want windows 0 and 2", sel)
+	}
+}
