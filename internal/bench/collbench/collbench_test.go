@@ -39,3 +39,38 @@ func TestHierBeatsFlatBarrier(t *testing.T) {
 			hier.BarrierUsec, flat.BarrierUsec, n)
 	}
 }
+
+// TestHierSpreadNearFlat guards the spread layout: 4 ranks as 2 hosts
+// of 2, so every collective crosses both the shm plane and the wire.
+// A rank blocked there waits on both, which is where a polling wait
+// that starves the network delivery shows; the hierarchical barrier
+// and allgather must each stay within 3x of the flat TCP figures
+// measured in the same run (best of 5 for each).
+func TestHierSpreadNearFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock comparison; skipped in -short")
+	}
+	const n, ppn, repeats = 4, 2, 5
+	best := func(p Params) (bar, gather float64) {
+		for rep := 0; rep < repeats; rep++ {
+			r := runOnce(p)
+			if rep == 0 || r.BarrierUsec < bar {
+				bar = r.BarrierUsec
+			}
+			if rep == 0 || r.AllGatherUsec < gather {
+				gather = r.AllGatherUsec
+			}
+		}
+		return bar, gather
+	}
+	flatBar, flatGather := best(Params{Ranks: n, Iters: 48})
+	hierBar, hierGather := best(Params{Ranks: n, Hier: true, PPN: ppn, Iters: 48})
+	t.Logf("flat barrier %.1fus allgather %.1fus; hier(ppn=%d) barrier %.1fus allgather %.1fus",
+		flatBar, flatGather, ppn, hierBar, hierGather)
+	if hierBar >= 3*flatBar {
+		t.Errorf("hierarchical spread barrier (%.1fus) not within 3x of flat (%.1fus)", hierBar, flatBar)
+	}
+	if hierGather >= 3*flatGather {
+		t.Errorf("hierarchical spread allgather (%.1fus) not within 3x of flat (%.1fus)", hierGather, flatGather)
+	}
+}

@@ -279,38 +279,47 @@ func CopyAsync[T any](me *Rank, src, dst GlobalPtr[T], count int, opts ...AsyncO
 		settle(struct{}{}, completion)
 		return f
 	}
-	// Wire path: stage through a private buffer, chaining the put off
-	// the get's completion so neither leg blocks the initiator.
-	tmp := make([]byte, bytes)
 	onBad := func(err error) {
 		fail(err, maxTime(completion, me.Clock()))
 		me.aggPreBlock()
 	}
-	finishPut := func() {
-		if dstAC != nil {
+	onDone := func() {
+		settle(struct{}{}, maxTime(completion, me.Clock()))
+		me.aggPreBlock() // cut-through, as in ReadAsync
+	}
+	// One end in this rank's own segment: that end's bytes are the
+	// other leg's buffer (see moveBytes).
+	if b := me.ownSegBytes(int(dst.rank), dst.Offset(), bytes); b != nil {
+		me.startAsync(cfg.retry,
+			func(timeout time.Duration, done func(error)) error {
+				return srcAC.GetAsync(int(src.rank), src.Offset(), b, timeout, done)
+			},
+			onDone, onBad)
+		return f
+	}
+	if b := me.ownSegBytes(int(src.rank), src.Offset(), bytes); b != nil {
+		me.startAsync(cfg.retry,
+			func(timeout time.Duration, done func(error)) error {
+				return dstAC.PutAsync(int(dst.rank), dst.Offset(), b, timeout, done)
+			},
+			onDone, onBad)
+		return f
+	}
+	// Third party (both ends remote, so both legs are async): stage
+	// through a private buffer, chaining the put off the get's
+	// completion so neither leg blocks the initiator.
+	tmp := make([]byte, bytes)
+	me.startAsync(cfg.retry,
+		func(timeout time.Duration, done func(error)) error {
+			return srcAC.GetAsync(int(src.rank), src.Offset(), tmp, timeout, done)
+		},
+		func() {
 			me.startAsync(cfg.retry,
 				func(timeout time.Duration, done func(error)) error {
 					return dstAC.PutAsync(int(dst.rank), dst.Offset(), tmp, timeout, done)
 				},
-				func() {
-					settle(struct{}{}, maxTime(completion, me.Clock()))
-					me.aggPreBlock() // cut-through, as in ReadAsync
-				}, onBad)
-			return
-		}
-		me.mustCd(me.cd.Put(int(dst.rank), dst.Offset(), tmp))
-		settle(struct{}{}, maxTime(completion, me.Clock()))
-	}
-	if srcAC != nil {
-		me.startAsync(cfg.retry,
-			func(timeout time.Duration, done func(error)) error {
-				return srcAC.GetAsync(int(src.rank), src.Offset(), tmp, timeout, done)
-			},
-			finishPut, onBad)
-		return f
-	}
-	me.mustCd(me.cd.Get(int(src.rank), src.Offset(), tmp))
-	finishPut()
+				onDone, onBad)
+		}, onBad)
 	return f
 }
 

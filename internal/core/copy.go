@@ -202,16 +202,39 @@ func Copy[T any](me *Rank, src, dst GlobalPtr[T], count int) {
 }
 
 // moveBytes performs the actual data movement between segments through
-// the conduit's one-sided data plane, staged through a private buffer so
-// that at most one segment lock is held at a time (no lock-ordering
-// deadlocks, and overlapping same-segment ranges behave like memmove).
-// On a wire conduit this is a get off the source followed by a put to
-// the destination, both initiated here.
+// the conduit's one-sided data plane. On a wire job, when one end is
+// this rank's own segment, that end's bytes are the other end's buffer:
+// a put reads straight from the source bytes and a get lands straight
+// in the destination bytes, so the only copy is the conduit's own (into
+// the outgoing frame, out of the reply, or the shm store). The unlocked
+// view is safe there because only this rank's goroutine serves its
+// segment, and overlap within the segment is memmove-safe. Third-party
+// copies, and every copy of an in-process job, stage through a private
+// buffer, so at most one segment lock is held at a time (no
+// lock-ordering deadlocks).
 func moveBytes[T any](me *Rank, src, dst GlobalPtr[T], bytes int) {
 	me.aggPreBlock()
+	if b := me.ownSegBytes(int(dst.rank), dst.Offset(), bytes); b != nil {
+		me.mustCd(me.cd.Get(int(src.rank), src.Offset(), b))
+		return
+	}
+	if b := me.ownSegBytes(int(src.rank), src.Offset(), bytes); b != nil {
+		me.mustCd(me.cd.Put(int(dst.rank), dst.Offset(), b))
+		return
+	}
 	tmp := make([]byte, bytes)
 	me.mustCd(me.cd.Get(int(src.rank), src.Offset(), tmp))
 	me.mustCd(me.cd.Put(int(dst.rank), dst.Offset(), tmp))
+}
+
+// ownSegBytes returns the n bytes at off of this rank's own segment
+// when rank is this rank on a wire job — a copy end that needs no
+// staging buffer — and nil otherwise.
+func (r *Rank) ownSegBytes(rank int, off uint64, n int) []byte {
+	if rank != r.id || !r.onWire() {
+		return nil
+	}
+	return r.seg.Bytes(off, uint64(n))
 }
 
 // AsyncCopy initiates a non-blocking one-sided bulk transfer (the paper's

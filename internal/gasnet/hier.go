@@ -47,6 +47,11 @@ const (
 // via the shm producer's idle hook) — a rank parked in a wire lock
 // request still answers its neighbors' shared-memory allocations, which
 // is what keeps the two planes deadlock-free under mutual blocking.
+// Both planes end in one blocking primitive, the wire leg's transport
+// wait: the shm rings have no kernel in their data path, so a rank
+// about to block sets its park word and a co-located producer that
+// finds it set rings a doorbell, a wake frame over their existing TCP
+// connection (see waitFor, ShmConduit.park and TCPEndpoint.WakePeer).
 //
 // Like its legs, a HierConduit is driven by its rank's single SPMD
 // goroutine. It advertises Batch, Async, Teams, Counters and Locality;
@@ -67,6 +72,10 @@ type HierConduit struct {
 	shmAcks   map[uint64]func()
 
 	gen uint64 // world-collective generation (Barrier/AllGather keys)
+
+	// spin is how many idle polls a wait yields before it parks: nonzero
+	// only when every rank of the job is co-located (see waitFor).
+	spin int
 
 	// Leader-plane collective state. All maps accumulate passively from
 	// handlers: a leader may receive deposits for a key before it enters
@@ -129,9 +138,15 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 			shm.Locals(), shm.Local(), len(h.locals), h.localIdx[me]))
 	}
 
-	// Both planes' blocked waits service each other.
+	if len(h.locals) == len(nodes) {
+		h.spin = shmSpinPolls
+	}
+
+	// Both planes' blocked waits service each other, and a push to a
+	// parked co-located rank wakes its blocked wire wait.
 	wire.wait = h.waitFor
 	shm.SetIdle(func() { wire.Poll() })
+	shm.SetDoorbell(func(j int) { _ = wire.tep.WakePeer(h.locals[j]) })
 
 	wire.register(hHierGather, h.onHierGather)
 	wire.register(hHierTable, h.onHierTable)
@@ -148,34 +163,56 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 	return h
 }
 
+// shmSpinPolls bounds the idle polls of an all-co-located job's wait
+// before it parks (see waitFor).
+const shmSpinPolls = 64
+
 // waitFor services both planes until pred() is true. Poll on the wire
 // leg also flushes its buffered outgoing frames, so a peer is never
 // left waiting on a frame parked in our write buffer.
 //
-// A rank with no co-located peers has a silent shm plane, so it blocks
-// event-driven on the transport inbox — zero-cost waits, exactly as
-// the flat wire conduit. With live shm peers the mapped rings have no
-// wakeup mechanism (that is their point: no kernel in the path), so
-// the wait is a polling loop, as in any PSHM-enabled GASNet: both
-// polls are cheap (a channel drain, a few atomic loads). The spin
-// budget is deliberately short before backing off to a sleep — peers
-// sharing cores (the common case for co-located ranks) need this CPU
-// to produce the very message being waited for.
+// When a poll of both planes finds nothing, the rank parks: it sets its
+// shm park word, polls its rings once more, and blocks in the wire
+// leg's transport wait — the same event-driven wait the flat wire uses,
+// woken by wire frames, by Wake, and by the doorbell frame a co-located
+// producer sends when its push finds the word set. The store-then-load
+// order on both sides (see ShmConduit) means no record is missed
+// between the re-check and the block. The blocked wait also returns as
+// soon as the word has been cleared, whether or not pred holds yet: the
+// record that rang may not be the one pred needs, and a rank that went
+// on blocking with its word clear would sleep through the next record's
+// push, which finds nothing to ring.
+//
+// Whether a wait may spin first follows from what it can be waiting
+// on. When every rank of the job is co-located, everything it waits on
+// is written to memory by a peer sharing its cores, so it yields to
+// those peers for a bounded shmSpinPolls idle polls, which beats a
+// doorbell round trip when the peer is already running. With an
+// off-host peer in the job the wait parks at the first idle poll: a
+// spinning rank then only competes for the CPU with the network
+// delivery it may be waiting for.
 func (h *HierConduit) waitFor(pred func() bool) error {
-	if h.shm.Locals() == 1 {
-		return h.wire.tep.WaitFor(pred)
-	}
 	idle := 0
 	for !pred() {
-		if h.wire.Poll()+h.shm.Poll() > 0 {
+		if h.Poll() > 0 {
 			idle = 0
 			continue
 		}
-		idle++
-		if idle < 64 {
+		if idle < h.spin {
+			idle++
 			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
+			continue
+		}
+		idle = 0
+		h.shm.park()
+		if h.shm.Poll() > 0 {
+			h.shm.unpark()
+			continue
+		}
+		err := h.wire.tep.WaitFor(func() bool { return !h.shm.parked() || pred() })
+		h.shm.unpark()
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -197,9 +234,9 @@ func (h *HierConduit) Capabilities() Caps {
 }
 
 // Wake unblocks a WaitFor on this conduit from a foreign goroutine
-// (WakerConduit). The wire leg's inbox is what waitFor blocks on when
-// this rank has no co-located peers; with peers the wait spins and a
-// wake is unnecessary but harmless.
+// (WakerConduit). A parked waitFor blocks on the wire leg's inbox,
+// which is where the wake lands; a waitFor that is still polling finds
+// it on its next poll.
 func (h *HierConduit) Wake() { h.wire.Wake() }
 
 // Nodes returns the launch topology (LocalityConduit).

@@ -24,7 +24,7 @@ import (
 //
 // File layout (rank i's file, rank<i>.shm in the job's shm directory):
 //
-//	[64B header: magic, nLocal, ringBytes, segBytes]
+//	[64B header: magic, nLocal, ringBytes, segBytes, park u64 @32]
 //	nLocal ring blocks of 128+ringBytes each — block j carries messages
 //	  from local rank j to local rank i (the self block is unused):
 //	    [head u64 @0, consumer-owned] [tail u64 @64, producer-owned]
@@ -40,6 +40,16 @@ import (
 //
 // Payloads longer than ringBytes/4 are fragmented (the more-fragments
 // bit chains them); SPSC ordering makes reassembly a plain append.
+//
+// The park word is the rings' wakeup: a consumer about to block sets
+// its own word (park), re-checks its rings, then sleeps in some other
+// blocking wait; a producer that publishes a record and finds the
+// word set clears it and rings the doorbell (SetDoorbell) — in the
+// hierarchical conduit a wake of that rank's wire endpoint. Both sides store then load (producer: tail, then park word;
+// consumer: park word, then tails), and Go's atomics are sequentially
+// consistent, so at least one side sees the other's store: either the
+// consumer finds the record before it blocks or the producer finds the
+// word set and wakes it.
 //
 // Setup is two-phase to avoid a filesystem race: every rank Creates its
 // own file before the job rendezvous, then Attaches to its peers' files
@@ -64,6 +74,9 @@ type ShmConduit struct {
 	// the wire poll here so a rank stalled on a full ring keeps serving
 	// its cross-host peers.
 	idle func()
+	// doorbell wakes local rank j after a push found j parked (nil: no
+	// rank of this fleet ever parks).
+	doorbell func(j int)
 
 	// Traffic counters: written on the SPMD goroutine, read live by the
 	// debug plane, hence atomics.
@@ -77,6 +90,7 @@ type ShmConduit struct {
 const (
 	shmMagic     = 0x75706378782d7368 // "upcxx-sh"
 	shmHdrBytes  = 64
+	shmParkOff   = 32 // the owner's park word inside its file header
 	shmCtlBytes  = 128
 	shmRecHdr    = 16
 	shmMoreFlag  = 1 << 31
@@ -212,6 +226,30 @@ func (c *ShmConduit) Register(h uint16, fn func(from int, arg uint64, payload []
 // SetIdle installs the hook run while a producer spins on a full ring.
 func (c *ShmConduit) SetIdle(fn func()) { c.idle = fn }
 
+// SetDoorbell installs the wakeup a push rings when it finds its
+// destination parked; fn(j) must make local rank j's blocked wait
+// return (see park).
+func (c *ShmConduit) SetDoorbell(fn func(j int)) { c.doorbell = fn }
+
+// parkWord is local rank j's park word, in the header of j's own file.
+func (c *ShmConduit) parkWord(j int) *uint64 {
+	return (*uint64)(unsafe.Pointer(&c.files[j][shmParkOff]))
+}
+
+// park announces that this rank is about to block: the next push to
+// any of its rings clears the word and rings the doorbell. The caller
+// must re-check its rings (Poll) after park and before blocking, its
+// blocked wait must end once parked turns false, and it must unpark
+// after the wait.
+func (c *ShmConduit) park() { atomic.StoreUint64(c.parkWord(c.me), 1) }
+
+// parked reports whether this rank's park word is still set, i.e. no
+// producer has rung the doorbell since park.
+func (c *ShmConduit) parked() bool { return atomic.LoadUint64(c.parkWord(c.me)) != 0 }
+
+// unpark clears this rank's park word after its wait returned.
+func (c *ShmConduit) unpark() { atomic.StoreUint64(c.parkWord(c.me), 0) }
+
 // ring is one SPSC channel's view: control words plus data window.
 type shmRing struct {
 	ctl  []byte
@@ -304,6 +342,14 @@ func (c *ShmConduit) push(to int, h uint16, arg uint64, p []byte, more bool) {
 	// (Go sync/atomic), so the consumer's tail load orders after our data
 	// writes.
 	atomic.StoreUint64(r.tail(), tail+rec)
+	// Then load the peer's park word (see the type comment). The plain
+	// load keeps the common unparked case free of a locked instruction;
+	// the CAS lets exactly one of several producers ring for one park.
+	if c.doorbell != nil {
+		if w := c.parkWord(to); atomic.LoadUint64(w) != 0 && atomic.CompareAndSwapUint64(w, 1, 0) {
+			c.doorbell(to)
+		}
+	}
 	c.txMsgs.Add(1)
 	c.txBytes.Add(int64(len(p)))
 	c.obsRing.Instant(obs.KShmTx, int32(to), uint32(len(p)), uint64(h))

@@ -145,3 +145,66 @@ func TestFutureOpsOnWireAtBoundary(t *testing.T) {
 		})
 	}
 }
+
+// TestCopyAsyncOwnSegmentEnds checks the data of copies with one end in
+// the initiator's own segment — a local source pushed to every rank and
+// a local destination pulled from every rank, the initiator included —
+// on the flat wire (2 ranks) and on hier (4 ranks, 2 per host, so the
+// peers are a shm neighbour and two wire ranks). Those copies move
+// straight between the segment and the conduit; CopyAsync and
+// AsyncCopy must both deliver every word.
+func TestCopyAsyncOwnSegmentEnds(t *testing.T) {
+	const n = 3000 // 24000 bytes: several pages, one wire chunk
+	val := func(rank, round, i int) uint64 { return mix(uint64(rank)<<40 + uint64(round)<<32 + uint64(i)) }
+	body := func(me *core.Rank) {
+		ranks := me.Ranks()
+		src := core.Allocate[uint64](me, me.ID(), n)
+		in := core.Allocate[uint64](me, me.ID(), n*ranks)   // pushed to me, slot per sender
+		pull := core.Allocate[uint64](me, me.ID(), n*ranks) // pulled by me, slot per source
+		srcs := core.TeamAllGather(me.World(), src)
+		ins := core.TeamAllGather(me.World(), in)
+		for round, name := range []string{"CopyAsync", "AsyncCopy"} {
+			vals := core.LocalSlice(me, src, n)
+			for i := range vals {
+				vals[i] = val(me.ID(), round, i)
+			}
+			me.Barrier()
+			copyAll := func(from, to core.GlobalPtr[uint64]) {
+				if round == 0 {
+					core.CopyAsync(me, from, to, n).Wait()
+					return
+				}
+				ev := core.NewEvent()
+				core.AsyncCopy(me, from, to, n, ev)
+				ev.Wait(me)
+			}
+			for p := 0; p < ranks; p++ {
+				copyAll(src, ins[p].Add(me.ID()*n)) // local source
+				copyAll(srcs[p], pull.Add(p*n))     // local destination
+			}
+			me.Barrier()
+			got, pulled := core.LocalSlice(me, in, n*ranks), core.LocalSlice(me, pull, n*ranks)
+			for p := 0; p < ranks; p++ {
+				for i := 0; i < n; i++ {
+					if want := val(p, round, i); got[p*n+i] != want || pulled[p*n+i] != want {
+						t.Errorf("%s rank %d, peer %d word %d: pushed %#x, pulled %#x, want %#x",
+							name, me.ID(), p, i, got[p*n+i], pulled[p*n+i], want)
+						break
+					}
+				}
+			}
+			me.Barrier()
+		}
+	}
+	segBytes := 8*n*(1+2*4) + 1<<16
+	t.Run("wire", func(t *testing.T) {
+		if _, err := RunWireLocal(2, segBytes, core.Config{}, body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("hier", func(t *testing.T) {
+		if _, err := RunHierLocal(4, 2, segBytes, core.Config{}, body); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

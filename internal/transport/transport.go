@@ -82,9 +82,10 @@ type Handler func(ep *TCPEndpoint, m Message)
 // survivable endpoint loses a peer, its reader goroutine enqueues one
 // peerDown message through the inbox, so the loss is observed on the
 // dispatch goroutine strictly after every frame that peer delivered.
-// wake is also synthesized locally: Wake enqueues one through the
-// inbox so a blocked WaitFor re-runs its predicate. It carries no
-// payload and dispatch treats it as a no-op.
+// wake is synthesized locally by Wake, which enqueues one through the
+// inbox so a blocked WaitFor re-runs its predicate, and sent over the
+// wire by WakePeer, the doorbell of a peer's shared-memory rings. It
+// carries no payload and dispatch treats it as a no-op.
 const (
 	helloHandler    uint16 = 0xFFFF
 	byeHandler      uint16 = 0xFFFE
@@ -237,6 +238,10 @@ type TCPEndpoint struct {
 	// return. Dispatch goroutine only.
 	retained bool
 
+	// near holds, by peer rank, the peer endpoints that live in this
+	// process (nil for the rest); Connect fills it from inProcess.
+	near []*TCPEndpoint
+
 	inbox     chan Message
 	done      chan struct{}
 	closeOnce sync.Once
@@ -379,6 +384,43 @@ func (ep *TCPEndpoint) Wake() {
 	case ep.inbox <- Message{From: ep.rank, To: ep.rank, Handler: wakeHandler}:
 	default:
 	}
+}
+
+// WakePeer is Wake addressed to another rank: it queues one wake frame
+// on the connection to peer and ships that peer's queue at once, so a
+// WaitFor blocked on peer's endpoint re-evaluates its predicate. It is
+// the doorbell for work published outside the transport (a shared-
+// memory ring): the frame carries no payload and dispatch on the
+// receiving side treats it as a no-op. peer must be another rank.
+//
+// A peer endpoint in this same process (ranks run as goroutines of one
+// process) is woken through its inbox directly. A frame would reach it
+// only through the Go network poller, which runs when the process has
+// no runnable goroutine, so co-resident ranks that are busy or spinning
+// would hold the wake back for up to the runtime's 10 ms fallback poll.
+func (ep *TCPEndpoint) WakePeer(peer int) error {
+	if n := ep.near[peer]; n != nil {
+		n.Wake()
+		return nil
+	}
+	select {
+	case <-ep.done:
+		return ep.closedErr()
+	default:
+	}
+	ep.mu.Lock()
+	q := ep.qs[peer]
+	if q == nil {
+		ep.mu.Unlock()
+		return fmt.Errorf("transport: no connection to rank %d", peer)
+	}
+	q.enqueue(Message{From: ep.rank, To: int32(peer), Handler: wakeHandler}, false)
+	err := q.ship(ep.conns[peer])
+	ep.mu.Unlock()
+	if err != nil {
+		return ep.flushFailed(int32(peer), err)
+	}
+	return nil
 }
 
 // SeverPeer forcibly closes the connection to peer, as if the link had
@@ -532,6 +574,10 @@ func readFrameHdr(r io.Reader, hdr *[frameHdrLen]byte) (Message, error) {
 	return m, nil
 }
 
+// inProcess maps the listen address of every open endpoint of this
+// process to the endpoint, so WakePeer can tell a co-resident peer.
+var inProcess sync.Map
+
 // ListenTCP creates an endpoint for the given rank of an n-rank job,
 // listening on addr (use "127.0.0.1:0" to pick a free port). Connect must
 // be called with everyone's advertised addresses before sending.
@@ -550,7 +596,9 @@ func ListenTCP(rank, n int, addr string) (*TCPEndpoint, error) {
 		done:      make(chan struct{}),
 		downed:    make([]atomic.Bool, n),
 		downCause: make([]error, n),
+		near:      make([]*TCPEndpoint, n),
 	}
+	inProcess.Store(ep.Addr(), ep)
 	return ep, nil
 }
 
@@ -603,6 +651,11 @@ func (ep *TCPEndpoint) Connect(addrs []string) error {
 	wg.Wait()
 	if acceptErr != nil {
 		return acceptErr
+	}
+	for r, a := range addrs {
+		if v, ok := inProcess.Load(a); ok && r != int(ep.rank) {
+			ep.near[r] = v.(*TCPEndpoint)
+		}
 	}
 	// Give every connection a vectored send queue: frames accumulate as
 	// header-slab and payload iovecs and ship as one writev-backed
@@ -914,6 +967,7 @@ func (ep *TCPEndpoint) Goodbye() {
 // the reader goroutines (fail is called from one of them).
 func (ep *TCPEndpoint) shutdown() {
 	ep.closeOnce.Do(func() {
+		inProcess.CompareAndDelete(ep.Addr(), ep)
 		close(ep.done)
 		ep.ln.Close()
 		ep.mu.Lock()

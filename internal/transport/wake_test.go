@@ -68,3 +68,45 @@ func TestWakeIsDroppedWhenIdle(t *testing.T) {
 		}
 	}
 }
+
+// TestWakePeerUnblocksPeerWaitFor is the doorbell contract: a rank
+// flips state its peer waits on outside the transport (a shared-memory
+// ring, here a flag) and calls WakePeer, and the peer's blocked WaitFor
+// re-evaluates its predicate — through a wake frame on the connection,
+// and through the inbox directly when the peer endpoint lives in this
+// process.
+func TestWakePeerUnblocksPeerWaitFor(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame bool
+	}{{"frame", true}, {"in-process", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			eps := mesh(t, 2)
+			if eps[0].near[1] == nil {
+				t.Fatal("peer endpoint of this process not found by Connect")
+			}
+			if tc.frame {
+				eps[0].near[1] = nil // take the wire path, as for a peer process
+			}
+			var flag atomic.Bool
+			done := make(chan error, 1)
+			go func() { done <- eps[1].WaitFor(flag.Load) }()
+			time.Sleep(20 * time.Millisecond)
+			flag.Store(true)
+			if err := eps[0].WakePeer(1); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("WaitFor: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("peer WaitFor did not observe the flag after WakePeer")
+			}
+			if d := eps[1].Dropped(); d != 0 {
+				t.Fatalf("wake frame counted as a handler drop: %d", d)
+			}
+		})
+	}
+}
